@@ -1,5 +1,5 @@
-//! Delta-driven query memoization and the per-core optimized plan
-//! overlay — the "query engine" side of the search.
+//! Delta-driven query memoization — the "query engine" side of the
+//! search.
 //!
 //! The NDFS expands enormously many pseudoconfigurations that differ in
 //! only one or two fact sections: every successor of one expansion
@@ -35,8 +35,8 @@
 use crate::config::{PseudoConfig, SharedFacts};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use wave_relalg::{ExecStats, Instance, InstanceStats, Params, PreparedQuery, Relation, Tuple};
-use wave_spec::{sections, CompiledSpec, ReadProfile, RuleExec, TargetExec};
+use wave_relalg::{Instance, Params, PreparedQuery, Relation, Tuple};
+use wave_spec::{sections, CompiledSpec, ReadProfile};
 
 /// Insert caps keeping the tables bounded on pathological searches.
 /// Hitting a cap degrades hit-rate, never correctness.
@@ -112,9 +112,6 @@ pub struct QueryCost {
     pub exec_ns: u64,
     /// Output rows produced by executions.
     pub rows: u64,
-    pub hash_builds: u64,
-    pub rows_built: u64,
-    pub rows_probed: u64,
 }
 
 impl QueryCost {
@@ -125,9 +122,6 @@ impl QueryCost {
         self.memo_misses += other.memo_misses;
         self.exec_ns += other.exec_ns;
         self.rows += other.rows;
-        self.hash_builds += other.hash_builds;
-        self.rows_built += other.rows_built;
-        self.rows_probed += other.rows_probed;
     }
 
     /// Memo hit rate over engine-routed calls, `None` before any call.
@@ -141,15 +135,12 @@ impl QueryCost {
     }
 }
 
-/// Per-core query engine: the optimized plan overlay plus the
-/// delta-driven result memo. Owned by `SearchCtx`; uses interior
+/// Per-core query engine: the delta-driven result memo in front of the
+/// compiled prepared plans. Owned by `SearchCtx`; uses interior
 /// mutability because the search holds the context by shared reference.
 pub struct QueryEngine {
-    /// Optimized plans indexed by query id; `None` falls back to the
-    /// compiled plan (or the slot belongs to an interpreted rule).
-    /// Empty when the engine is disabled (`--naive-joins`,
-    /// `--interpret`).
-    plans: Vec<Option<PreparedQuery>>,
+    /// Off under `--naive-joins` and `--interpret`: every call then
+    /// executes its compiled plan.
     memo_enabled: bool,
     epochs: RefCell<EpochTable>,
     memo: RefCell<HashMap<MemoKey, MemoVal>>,
@@ -158,50 +149,24 @@ pub struct QueryEngine {
     /// Inserts dropped because the memo hit its cap (the memo never
     /// evicts resident entries; "eviction" in the trace-event sense).
     memo_evictions: Cell<u64>,
-    join_builds: Cell<u64>,
     /// Per-qid cost roll-ups; empty unless built with `profiled`.
     profiled: bool,
     costs: RefCell<Vec<QueryCost>>,
 }
 
 impl QueryEngine {
-    /// Build the engine for one search core. When `enabled`, every
-    /// plan-compiled rule and target is re-optimized against
-    /// cardinality statistics collected from `base`, and the result
-    /// memo is armed; otherwise both stay off (the `--naive-joins`
-    /// ablation and the `--interpret` baseline).
-    pub fn build(spec: &CompiledSpec, base: &Instance, enabled: bool) -> QueryEngine {
-        QueryEngine::build_profiled(spec, base, enabled, false)
+    /// Build the engine for one search core. When `memo_enabled`, the
+    /// result memo is armed; otherwise every call executes its compiled
+    /// plan (the `--naive-joins` ablation and the `--interpret`
+    /// baseline).
+    pub fn build(spec: &CompiledSpec, memo_enabled: bool) -> QueryEngine {
+        QueryEngine::build_profiled(spec, memo_enabled, false)
     }
 
     /// [`QueryEngine::build`], optionally arming the per-qid cost
     /// roll-ups ([`QueryEngine::query_costs`]). Profiling adds one
     /// clock read per execution; answers are unaffected.
-    pub fn build_profiled(
-        spec: &CompiledSpec,
-        base: &Instance,
-        enabled: bool,
-        profiled: bool,
-    ) -> QueryEngine {
-        let mut plans = Vec::new();
-        if enabled {
-            let stats = InstanceStats::collect(base);
-            plans.resize_with(spec.num_queries as usize, || None);
-            for page in &spec.pages {
-                for rule in
-                    page.option_rules.iter().chain(&page.state_rules).chain(&page.action_rules)
-                {
-                    if let RuleExec::Plan(q) = &rule.exec {
-                        plans[rule.reads.qid as usize] = Some(q.optimized(&spec.schema, &stats));
-                    }
-                }
-                for t in &page.target_rules {
-                    if let TargetExec::Plan(q) = &t.exec {
-                        plans[t.reads.qid as usize] = Some(q.optimized(&spec.schema, &stats));
-                    }
-                }
-            }
-        }
+    pub fn build_profiled(spec: &CompiledSpec, memo_enabled: bool, profiled: bool) -> QueryEngine {
         let mut costs = Vec::new();
         if profiled {
             costs.resize_with(spec.num_queries as usize, QueryCost::default);
@@ -210,14 +175,12 @@ impl QueryEngine {
             }
         }
         QueryEngine {
-            plans,
-            memo_enabled: enabled,
+            memo_enabled,
             epochs: RefCell::new(EpochTable::default()),
             memo: RefCell::new(HashMap::new()),
             memo_hits: Cell::new(0),
             memo_misses: Cell::new(0),
             memo_evictions: Cell::new(0),
-            join_builds: Cell::new(0),
             profiled,
             costs: RefCell::new(costs),
         }
@@ -232,12 +195,6 @@ impl QueryEngine {
         if let Some(c) = costs.get_mut(qid as usize) {
             f(c);
         }
-    }
-
-    /// The plan to execute for query `qid`: the optimized overlay when
-    /// present, else the compiled plan the caller holds.
-    fn plan_for<'q>(&'q self, qid: u32, compiled: &'q PreparedQuery) -> &'q PreparedQuery {
-        self.plans.get(qid as usize).and_then(Option::as_ref).unwrap_or(compiled)
     }
 
     /// The memo key for running `reads` against `cfg`, or `None` when
@@ -346,19 +303,14 @@ impl QueryEngine {
         inst: &Instance,
         params: &Params,
     ) -> Result<Relation, wave_relalg::ExecError> {
-        let mut stats = ExecStats::default();
         let t0 = if self.profiled { Some(std::time::Instant::now()) } else { None };
-        let rel = self.plan_for(qid, compiled).run_counting(inst, params, &mut stats)?;
-        self.join_builds.set(self.join_builds.get() + stats.hash_builds);
+        let rel = compiled.run(inst, params)?;
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             self.cost_mut(qid, |c| {
                 c.calls += 1;
                 c.exec_ns += ns;
                 c.rows += rel.len() as u64;
-                c.hash_builds += stats.hash_builds;
-                c.rows_built += stats.rows_built;
-                c.rows_probed += stats.rows_probed;
             });
         }
         Ok(rel)
@@ -373,11 +325,6 @@ impl QueryEngine {
     /// disabled-memo executions count neither way).
     pub fn memo_misses(&self) -> u64 {
         self.memo_misses.get()
-    }
-
-    /// Hash tables built by lowered join operators.
-    pub fn join_builds(&self) -> u64 {
-        self.join_builds.get()
     }
 
     /// Memo inserts dropped at the capacity cap (see the field docs —
@@ -399,7 +346,7 @@ mod tests {
     use crate::config::{canonicalize, core_instance, no_facts, Facts};
     use std::sync::Arc;
     use wave_relalg::Value;
-    use wave_spec::{parse_spec, CompiledRule, PageId};
+    use wave_spec::{parse_spec, CompiledRule, PageId, RuleExec};
 
     fn spec() -> CompiledSpec {
         CompiledSpec::compile(
@@ -453,7 +400,7 @@ mod tests {
         let s = spec();
         let core: Facts = vec![fact(&s, "item", &[1]), fact(&s, "item", &[2])];
         let base = core_instance(&s, &core);
-        let engine = QueryEngine::build(&s, &base, true);
+        let engine = QueryEngine::build(&s, true);
 
         let mut cfg = PseudoConfig::initial(PageId(0));
         cfg.state = Arc::new(canonicalize(vec![fact(&s, "seen", &[1])]));
@@ -481,7 +428,7 @@ mod tests {
         let s = spec();
         let core: Facts = vec![fact(&s, "item", &[1])];
         let base = core_instance(&s, &core);
-        let engine = QueryEngine::build(&s, &base, true);
+        let engine = QueryEngine::build(&s, true);
         let rule = option_rule(&s);
         // The option rule reads only the database extension; state is
         // outside its mask.
@@ -508,16 +455,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_engine_neither_memoizes_nor_optimizes() {
+    fn disabled_engine_does_not_memoize() {
         let s = spec();
         let base = core_instance(&s, &vec![fact(&s, "item", &[1])]);
-        let engine = QueryEngine::build(&s, &base, false);
+        let engine = QueryEngine::build(&s, false);
         let cfg = PseudoConfig { input: no_facts(), ..PseudoConfig::initial(PageId(0)) };
         let a = run(&engine, &s, &base, &cfg);
         let b = run(&engine, &s, &base, &cfg);
         assert_eq!(a, b);
         assert_eq!(engine.memo_hits(), 0);
         assert_eq!(engine.memo_misses(), 0);
-        assert!(engine.plans.is_empty(), "no optimized overlay when disabled");
     }
 }

@@ -67,8 +67,10 @@ pub struct SearchProfile {
     pub memo_hits: u64,
     /// Memoized rule/target evaluations that had to execute the plan.
     pub memo_misses: u64,
-    /// Hash tables built by lowered hash-join operators (zero under
-    /// `--naive-joins`, which keeps every join nested-loop).
+    /// Always zero: the hash-join planner that fed it is gone. Kept so
+    /// every record format that carries the profile (JSON, cache entry,
+    /// wire codec, checkpoint slot) stays readable without a version
+    /// bump, and because the benchmark driver still reads it.
     pub join_builds: u64,
     /// Rules (targets included) the wave-flow slice removed from the
     /// search (dead guards + unreachable pages). Stamped once per check

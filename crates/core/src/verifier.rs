@@ -67,11 +67,12 @@ pub struct VerifyOptions {
     /// statistics are identical; only speed and memory differ (result
     /// caches must therefore ignore it, like `cancel`).
     pub state_store: StateStoreKind,
-    /// Query-engine ablation: when true, skip the cardinality-guided plan
-    /// optimizer (so every join stays nested-loop) and the delta-driven
-    /// result memo. Semantics-neutral like `state_store` — verdicts,
-    /// traces and deterministic statistics are identical; only speed and
-    /// the memo/join profile counters differ (result caches ignore it).
+    /// Query-engine ablation (`--naive-joins`): when true, turn off the
+    /// delta-driven result memo, so every rule and target evaluation
+    /// executes its compiled plan. Semantics-neutral like `state_store` —
+    /// verdicts, traces and deterministic statistics are identical; only
+    /// speed and the memo profile counters differ (result caches ignore
+    /// it).
     pub naive_joins: bool,
     /// Cooperative cancellation: when the token is raised mid-search the
     /// check stops with [`Verdict::Unknown`]`(`[`Budget::Cancelled`]`)`.
@@ -545,8 +546,7 @@ impl Verifier {
         let mut sorted_c = ctx_c_values;
         sorted_c.sort_unstable();
         let base = core_instance(spec, &ce.core);
-        let engine =
-            QueryEngine::build(spec, &base, self.options.use_plans && !self.options.naive_joins);
+        let engine = QueryEngine::build(spec, self.options.use_plans && !self.options.naive_joins);
         let ctx = SearchCtx {
             spec,
             symbols: &symbols,
@@ -788,7 +788,6 @@ impl PreparedCheck<'_> {
             let base = core_instance(spec, &core);
             let qengine = QueryEngine::build_profiled(
                 spec,
-                &base,
                 options.use_plans && !options.naive_joins,
                 P::ENABLED,
             );
@@ -869,7 +868,6 @@ impl PreparedCheck<'_> {
             stats.profile.add(&search_stats.profile);
             stats.profile.memo_hits += ctx.engine.memo_hits();
             stats.profile.memo_misses += ctx.engine.memo_misses();
-            stats.profile.join_builds += ctx.engine.join_builds();
             if T::ENABLED {
                 let (hits, misses) = (ctx.engine.memo_hits(), ctx.engine.memo_misses());
                 if hits + misses > 0 {
@@ -880,10 +878,6 @@ impl PreparedCheck<'_> {
                         misses,
                         evictions: ctx.engine.memo_evictions(),
                     });
-                }
-                let builds = ctx.engine.join_builds();
-                if builds > 0 {
-                    tracer.event(TraceEvent::JoinBuild { unit: unit as u32, core: bitmap, builds });
                 }
             }
             if P::ENABLED {

@@ -14,29 +14,22 @@
 //!   the paper's DBMS-selection microbenchmark,
 //! * [`plan`]/[`exec`]/[`prepared`]: relational-algebra plans with parameter
 //!   slots, an interpreter, and reusable prepared queries (the JDBC
-//!   prepared-statement equivalent),
-//! * [`stats`]/[`optimize`]: cardinality statistics and the planner pass
-//!   that pushes selections down and lowers joins to hash operators when
-//!   the build side is large enough to pay for the table.
+//!   prepared-statement equivalent).
 
 pub mod engine;
 pub mod exec;
 pub mod instance;
-pub mod optimize;
 pub mod plan;
 pub mod prepared;
 pub mod schema;
-pub mod stats;
 pub mod tuple;
 pub mod value;
 
 pub use engine::{DiskEngine, MemoryEngine, StorageEngine};
-pub use exec::{execute, execute_counting, ExecError, ExecStats, Params};
+pub use exec::{execute, ExecError, Params};
 pub use instance::Instance;
-pub use optimize::{optimize, HASH_BUILD_THRESHOLD};
-pub use plan::{JoinKind, Plan, PlanError, PlanReads, Pred, Scalar};
+pub use plan::{Plan, PlanError, PlanReads, Pred, Scalar};
 pub use prepared::PreparedQuery;
 pub use schema::{RelDecl, RelId, RelKind, Schema};
-pub use stats::InstanceStats;
 pub use tuple::{Relation, Tuple, TupleInterner};
 pub use value::{SymbolTable, Value, ValueKind};

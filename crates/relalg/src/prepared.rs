@@ -6,12 +6,10 @@
 //! once. A [`PreparedQuery`] owns a validated plan and an execution-count
 //! statistic (useful for the ablation benchmarks).
 
-use crate::exec::{execute, execute_counting, ExecError, ExecStats, Params};
+use crate::exec::{execute, ExecError, Params};
 use crate::instance::Instance;
-use crate::optimize::optimize;
 use crate::plan::{Plan, PlanError, PlanReads};
 use crate::schema::Schema;
-use crate::stats::InstanceStats;
 use crate::tuple::Relation;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,36 +73,10 @@ impl PreparedQuery {
         Ok(!self.run(inst, params)?.is_empty())
     }
 
-    /// Execute, accumulating operator counters into `stats`.
-    pub fn run_counting(
-        &self,
-        inst: &Instance,
-        params: &Params,
-        stats: &mut ExecStats,
-    ) -> Result<Relation, ExecError> {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-        execute_counting(&self.plan, inst, params, stats)
-    }
-
     /// The read-set: relations scanned and parameter slots consulted.
     /// This is what the delta-driven memo keys a cached result on.
     pub fn reads(&self) -> PlanReads {
         self.plan.reads()
-    }
-
-    /// A new prepared query whose plan has been rewritten against
-    /// cardinality statistics (selection push-down, hash lowering). The
-    /// rewritten plan computes the same relation; the execution counter
-    /// starts fresh.
-    pub fn optimized(&self, schema: &Arc<Schema>, stats: &InstanceStats) -> Self {
-        let plan = optimize(&self.plan, schema, stats);
-        debug_assert_eq!(plan.validate(schema), Ok(self.width), "rewrite must preserve width");
-        PreparedQuery {
-            plan,
-            width: self.width,
-            param_slots: self.param_slots,
-            executions: AtomicU64::new(0),
-        }
     }
 }
 

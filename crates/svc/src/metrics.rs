@@ -50,8 +50,6 @@ pub struct SvcMetrics {
     pub memo_hits_total: Arc<Counter>,
     /// Memoized rule/target evaluations that executed their plan.
     pub memo_misses_total: Arc<Counter>,
-    /// Hash tables built by lowered hash-join operators.
-    pub join_builds_total: Arc<Counter>,
     /// Rules (targets included) the wave-flow slice removed from
     /// completed checks (summed per check, not per unit).
     pub slice_rules_removed_total: Arc<Counter>,
@@ -147,10 +145,6 @@ impl SvcMetrics {
             memo_misses_total: registry.counter(
                 "wave_memo_misses_total",
                 "Memoized rule evaluations that executed their plan",
-            ),
-            join_builds_total: registry.counter(
-                "wave_join_builds_total",
-                "Hash tables built by lowered hash-join operators",
             ),
             slice_rules_removed_total: registry.counter(
                 "wave_slice_rules_removed_total",
@@ -274,7 +268,6 @@ mod tests {
             "wave_store_max_spilled",
             "wave_memo_hits_total",
             "wave_memo_misses_total",
-            "wave_join_builds_total",
             "wave_slice_rules_removed_total",
             "wave_slice_relations_removed_total",
             "wave_flow_dead_rules_total",

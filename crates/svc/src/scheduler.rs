@@ -400,7 +400,6 @@ pub fn run_prepared(
             m.spill_compactions_total.add(o.stats.profile.spill_compactions);
             m.memo_hits_total.add(o.stats.profile.memo_hits);
             m.memo_misses_total.add(o.stats.profile.memo_misses);
-            m.join_builds_total.add(o.stats.profile.join_builds);
             m.store_max_resident.set_max(o.stats.max_resident as i64);
             m.store_max_spilled.set_max(o.stats.max_spilled as i64);
         }

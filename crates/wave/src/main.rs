@@ -88,7 +88,7 @@ check options:
   --exhaustive-equality   enumerate all C_∃ equality patterns
   --interpret             evaluate rules directly (no compiled plans)
   --byte-keys             byte-keyed visit sets (interning ablation baseline)
-  --naive-joins           nested-loop joins, no query memo (planner ablation
+  --naive-joins           turn off the query memo (query-engine ablation
                           baseline; verdicts and statistics are unchanged)
   --no-slice              disable cone-of-influence property slicing
                           (dataflow ablation baseline; verdicts, traces,
@@ -478,7 +478,7 @@ fn cmd_check(rest: &[String]) -> ExitCode {
             }
         }
         let mut record = wave_svc::JobRecord::from_verification(path, &v);
-        record.diagnostics = wave_svc::lint_records(&lint_req);
+        record.diagnostics = wave_svc::diagnostic_records(&lint_req, &lint_diags);
         println!("{}", record.to_json());
         return match &v.verdict {
             Verdict::Holds => ExitCode::SUCCESS,
@@ -629,9 +629,6 @@ fn profile_report(
                 ("hit_rate", q.hit_rate().map(Json::from).unwrap_or(Json::Null)),
                 ("exec_ns", Json::from(q.exec_ns)),
                 ("rows", Json::from(q.rows)),
-                ("hash_builds", Json::from(q.hash_builds)),
-                ("rows_built", Json::from(q.rows_built)),
-                ("rows_probed", Json::from(q.rows_probed)),
                 ("wall_ns", Json::from(profiler.total_ns_of("query", u64::from(q.qid)))),
             ])
         })
@@ -1221,9 +1218,8 @@ fn cmd_trace_summarize(rest: &[String]) -> ExitCode {
     let mut depths: Vec<u64> = Vec::new(); // depth -> expand count
     let mut expansions: Vec<(u64, u64, u64, u64)> = Vec::new(); // (dur_ns, line, depth, succs)
     let mut total = 0u64;
-    // v2 roll-ups: memo traffic, hash-join builds, spill/compaction work
+    // v2 roll-ups: memo traffic, spill/compaction work
     let mut memo = [0u64; 3]; // hits, misses, evictions
-    let mut join_builds = 0u64;
     let mut spill = [0u64; 2]; // pairs, segments
                                // spill events carry a compactions delta since v1; dedicated compact
                                // events repeat it since v2 — count each stream separately and
@@ -1280,7 +1276,6 @@ fn cmd_trace_summarize(rest: &[String]) -> ExitCode {
                 memo[1] += field("misses");
                 memo[2] += field("evictions");
             }
-            "join_build" => join_builds += field("builds"),
             "spill" => {
                 spill[0] += field("pairs");
                 spill[1] += field("segments");
@@ -1306,9 +1301,6 @@ fn cmd_trace_summarize(rest: &[String]) -> ExitCode {
             memo[0] as f64 / (memo[0] + memo[1]) as f64 * 100.0,
             memo[2],
         );
-    }
-    if join_builds > 0 {
-        println!("joins: {join_builds} hash tables built");
     }
     if spill[0] > 0 {
         println!(
@@ -1459,9 +1451,9 @@ fn bench_rows() -> Result<Vec<wave_svc::Json>, String> {
 const BENCH_QUERY_FILE: &str = "BENCH_query.json";
 
 /// Deterministic columns of the query bench. Identical between
-/// `joins=opt` and `joins=naive` rows of one property — the optimizer
-/// and memo are semantics-neutral — so the drift gate doubles as an
-/// equivalence check on the committed file.
+/// `joins=opt` and `joins=naive` rows of one property — the memo is
+/// semantics-neutral — so the drift gate doubles as an equivalence
+/// check on the committed file.
 const BENCH_QUERY_DETERMINISTIC_KEYS: [&str; 9] = [
     "suite",
     "prop",
@@ -1474,7 +1466,7 @@ const BENCH_QUERY_DETERMINISTIC_KEYS: [&str; 9] = [
     "max_trie",
 ];
 
-/// Run every E1–E4 property with the query engine on (`joins=opt`) and
+/// Run every E1–E4 property with the query memo on (`joins=opt`) and
 /// off (`joins=naive`, the `--naive-joins` ablation), one row per
 /// (suite, property, mode).
 fn bench_query_rows() -> Result<Vec<wave_svc::Json>, String> {
@@ -2034,7 +2026,7 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    eprintln!("bench: E1–E4 property suites with the query engine on (opt) and off (naive)");
+    eprintln!("bench: E1–E4 property suites with the query memo on (opt) and off (naive)");
     let query_rows = match bench_query_rows() {
         Ok(r) => r,
         Err(e) => {

@@ -26,9 +26,9 @@ fn budgeted(max_steps: u64) -> VerifyOptions {
     }
 }
 
-/// The query-engine setting under test: on by default, off when the CI
+/// The query-memo setting under test: on by default, off when the CI
 /// matrix sets `WAVE_TEST_JOINS=naive`. Budget determinism must hold
-/// with and without the plan optimizer and result memo.
+/// with and without the result memo.
 fn test_naive_joins() -> bool {
     std::env::var("WAVE_TEST_JOINS").as_deref() == Ok("naive")
 }

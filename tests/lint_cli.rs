@@ -172,6 +172,22 @@ fn check_prints_diagnostics_to_stderr_and_embeds_them_in_json() {
     assert_eq!(diags[0].get("code").unwrap().as_str(), Some("W0101"));
     assert_eq!(diags[0].get("line").unwrap().as_u64(), Some(10));
 
+    // a note-only spec: the note reaches stderr, but notes stay out of
+    // the record, so it carries no diagnostics field
+    let property = std::fs::read_to_string(dir.join("n0604.props")).expect("fixture");
+    let args = ["check", "n0604.wave", "--property", property.trim()];
+    let out = Command::new(wave_bin()).args(args).current_dir(&dir).output().expect("wave runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("note[N0604]"), "{stderr}");
+    let out = Command::new(wave_bin())
+        .args(args)
+        .arg("--json")
+        .current_dir(&dir)
+        .output()
+        .expect("wave runs");
+    let record = wave_svc::parse_json(String::from_utf8_lossy(&out.stdout).trim()).expect("json");
+    assert!(record.get("diagnostics").is_none(), "{record}");
+
     // a clean spec's record carries no diagnostics field at all
     let specs = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../apps/specs");
     let out = Command::new(wave_bin())

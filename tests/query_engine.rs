@@ -1,13 +1,13 @@
-//! Query-engine equivalence suite (ISSUE 7): the cardinality-guided
-//! optimizer, the hash-join lowering and the delta-driven result memo
-//! must be observationally identical to the naive nested-loop engine —
-//! same verdicts, same deterministic search counters, byte-identical
+//! Query-engine equivalence suite: the delta-driven result memo must be
+//! observationally identical to executing every compiled plan afresh
+//! (`--naive-joins`, which now turns off only the memo) — same
+//! verdicts, same deterministic search counters, byte-identical
 //! counterexample renderings — across every property of all four
 //! benchmark applications.
 //!
 //! `WAVE_TEST_JOINS=naive` (the CI matrix leg) flips the *default* side
 //! of each comparison to the ablation too, so the whole integration
-//! test binary also runs green with the engine disabled.
+//! test binary also runs green with the memo off.
 
 use wave::apps::AppSuite;
 use wave::{Verdict, Verifier, VerifyOptions};
@@ -31,7 +31,7 @@ fn suite(name: &str) -> AppSuite {
 
 /// Everything the engine determines about one property: verdict shape,
 /// the deterministic stats columns, and the rendered counterexample.
-/// Memo/join counters are deliberately absent — they are the knob under
+/// Memo counters are deliberately absent — they are the knob under
 /// test, not part of the observable result.
 #[derive(Debug, PartialEq)]
 struct Outcome {
@@ -45,20 +45,19 @@ struct Outcome {
     counterexample: Option<String>,
 }
 
-/// `(outcomes, total memo hits, total hash builds)` for the selected
-/// properties with the given engine setting.
-fn run(suite: &AppSuite, names: &[&str], naive_joins: bool) -> (Vec<Outcome>, u64, u64) {
+/// `(outcomes, total memo hits)` for the selected properties with the
+/// given memo setting.
+fn run(suite: &AppSuite, names: &[&str], naive_joins: bool) -> (Vec<Outcome>, u64) {
     let options = VerifyOptions { naive_joins, ..Default::default() };
     let verifier = Verifier::with_options(suite.spec.clone(), options).expect("suite compiles");
     let mut outcomes = Vec::new();
-    let (mut hits, mut builds) = (0, 0);
+    let mut hits = 0;
     for case in &suite.properties {
         if !names.contains(&case.name) {
             continue;
         }
         let v = verifier.check_str(&case.text).expect("check runs");
         hits += v.stats.profile.memo_hits;
-        builds += v.stats.profile.join_builds;
         outcomes.push(Outcome {
             name: case.name.to_string(),
             verdict: match &v.verdict {
@@ -77,7 +76,7 @@ fn run(suite: &AppSuite, names: &[&str], naive_joins: bool) -> (Vec<Outcome>, u6
             },
         });
     }
-    (outcomes, hits, builds)
+    (outcomes, hits)
 }
 
 /// When the CI matrix sets `WAVE_TEST_JOINS=naive`, even the "default"
@@ -86,18 +85,17 @@ fn default_is_naive() -> bool {
     std::env::var("WAVE_TEST_JOINS").as_deref() == Ok("naive")
 }
 
-fn optimized_matches_naive_everywhere(name: &str) {
+fn memo_matches_memo_off_everywhere(name: &str) {
     let suite = suite(name);
     let excluded: Vec<&str> =
         SWEEP_EXCLUDE.iter().filter(|(s, _)| *s == name).map(|(_, prop)| *prop).collect();
     let names: Vec<&str> =
         suite.properties.iter().map(|c| c.name).filter(|n| !excluded.contains(n)).collect();
-    let (engine, hits, _) = run(&suite, &names, default_is_naive());
-    let (naive, naive_hits, naive_builds) = run(&suite, &names, true);
+    let (engine, hits) = run(&suite, &names, default_is_naive());
+    let (naive, naive_hits) = run(&suite, &names, true);
     assert_eq!(engine.len(), names.len());
-    assert_eq!(engine, naive, "{name}: query engine diverged from nested-loop baseline");
+    assert_eq!(engine, naive, "{name}: the memo diverged from the memo-off baseline");
     assert_eq!(naive_hits, 0, "{name}: the ablation must not memoize");
-    assert_eq!(naive_builds, 0, "{name}: the ablation must not build hash tables");
     if !default_is_naive() {
         assert!(hits > 0, "{name}: the memo never hit across a whole suite");
     }
@@ -105,27 +103,27 @@ fn optimized_matches_naive_everywhere(name: &str) {
 
 #[test]
 fn e1_query_engine_matches_naive_on_every_property() {
-    optimized_matches_naive_everywhere("E1");
+    memo_matches_memo_off_everywhere("E1");
 }
 
 #[test]
 fn e2_query_engine_matches_naive_on_every_property() {
-    optimized_matches_naive_everywhere("E2");
+    memo_matches_memo_off_everywhere("E2");
 }
 
 #[test]
 fn e3_query_engine_matches_naive_on_every_property() {
-    optimized_matches_naive_everywhere("E3");
+    memo_matches_memo_off_everywhere("E3");
 }
 
 #[test]
 fn e4_query_engine_matches_naive_on_every_property() {
-    optimized_matches_naive_everywhere("E4");
+    memo_matches_memo_off_everywhere("E4");
 }
 
 /// The interpreter baseline ignores the ablation flag entirely: with
-/// `--interpret` there are no plans to optimize or memoize, so both
-/// settings are the same run.
+/// `--interpret` there are no plans to memoize, so both settings are
+/// the same run.
 #[test]
 fn interpret_mode_is_unaffected_by_the_ablation_flag() {
     let suite = suite("E2");
@@ -138,7 +136,6 @@ fn interpret_mode_is_unaffected_by_the_ablation_flag() {
             let v = verifier.check_str(&case.text).expect("check runs");
             assert_eq!(v.stats.profile.memo_hits, 0);
             assert_eq!(v.stats.profile.memo_misses, 0);
-            assert_eq!(v.stats.profile.join_builds, 0);
         }
     }
 }

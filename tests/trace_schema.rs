@@ -12,7 +12,11 @@
 //!
 //! Version 2 appended the `memo`, `join_build`, and `compact` event
 //! kinds; every v1 event shape is unchanged, so v1 traces remain a
-//! strict subset of v2 (pinned by `v1_traces_still_summarize`).
+//! strict subset of v2 (pinned by `v1_traces_still_summarize`). The
+//! writer no longer emits `join_build` (the hash-join planner that fed
+//! it is gone), but the kind stays in the v2 schema so traces from
+//! older binaries still read (pinned by
+//! `v2_join_build_lines_still_summarize`).
 
 use wave::apps::e1;
 use wave::core::{JsonlTracer, SearchTracer, TraceEvent, TRACE_SCHEMA_VERSION};
@@ -76,9 +80,10 @@ fn trace_schema_matches_the_golden_file() {
     synth.event(TraceEvent::Spill { unit: 0, core: 0, pairs: 1, segments: 1, compactions: 0 });
     synth.event(TraceEvent::Compact { unit: 0, core: 0, compactions: 1, segments: 1 });
     synth.event(TraceEvent::Memo { unit: 0, core: 0, hits: 1, misses: 1, evictions: 0 });
-    synth.event(TraceEvent::JoinBuild { unit: 0, core: 0, builds: 1 });
     assert!(synth.take_error().is_none());
     lines.push_str(&String::from_utf8(synth.into_inner()).unwrap());
+    // no longer written, still part of the v2 schema readers accept
+    lines.push_str(JOIN_BUILD_V2);
 
     let mut skeletons: Vec<String> = Vec::new();
     for line in lines.lines().filter(|l| !l.trim().is_empty()) {
@@ -98,6 +103,39 @@ fn trace_schema_matches_the_golden_file() {
     );
 }
 
+/// A `join_build` line verbatim from a v2 `--trace-out` run of a binary
+/// that still had the hash-join planner.
+const JOIN_BUILD_V2: &str =
+    "{\"v\":2,\"ev\":\"join_build\",\"unit\":1,\"core\":0,\"builds\":6,\"t_ns\":2}\n";
+
+/// Run `wave trace summarize` over `text`; returns (success, stdout).
+fn summarize(name: &str, text: &str) -> (bool, String) {
+    let dir = std::env::temp_dir().join(format!("wave_{name}_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.jsonl"));
+    std::fs::write(&path, text).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wave"))
+        .args(["trace", "summarize"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// Traces written before the writer dropped `join_build` stay readable
+/// under the unchanged v2 schema: summarize accepts the line and counts
+/// it like any other event.
+#[test]
+fn v2_join_build_lines_still_summarize() {
+    let v2 =
+        ["{\"v\":2,\"ev\":\"core\",\"unit\":1,\"core\":0,\"t_ns\":1}\n", JOIN_BUILD_V2].concat();
+    let (ok, stdout) = summarize("v2_join_build", &v2);
+    assert!(ok, "summarize rejected a v2 join_build line: {stdout}");
+    assert!(stdout.contains("2 events"), "{stdout}");
+    assert!(stdout.lines().any(|l| l.split_whitespace().eq(["join_build", "1"])), "{stdout}");
+}
+
 /// A v2 reader must keep decoding v1 traces: the version bump appended
 /// event kinds, it did not change any existing shape. These lines are
 /// verbatim from a pre-v2 `--trace-out` run.
@@ -109,18 +147,8 @@ fn v1_traces_still_summarize() {
 {\"v\":1,\"ev\":\"intern\",\"hit\":true,\"t_ns\":300}\n\
 {\"v\":1,\"ev\":\"phase\",\"candy\":false,\"depth\":1,\"t_ns\":400}\n\
 {\"v\":1,\"ev\":\"spill\",\"unit\":0,\"core\":0,\"pairs\":12,\"segments\":1,\"compactions\":0,\"t_ns\":500}\n";
-    let dir = std::env::temp_dir().join(format!("wave_v1_trace_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("v1.jsonl");
-    std::fs::write(&path, v1).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wave"))
-        .args(["trace", "summarize"])
-        .arg(&path)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "summarize rejected a v1 trace: {stdout}");
+    let (ok, stdout) = summarize("v1", v1);
+    assert!(ok, "summarize rejected a v1 trace: {stdout}");
     assert!(stdout.contains("5 events"), "{stdout}");
     assert!(stdout.contains("spill: 12 pairs in 1 segments, 0 compactions"), "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
 }
