@@ -346,7 +346,7 @@ mod tests {
     use crate::config::{canonicalize, core_instance, no_facts, Facts};
     use std::sync::Arc;
     use wave_relalg::Value;
-    use wave_spec::{parse_spec, CompiledRule, PageId, RuleExec};
+    use wave_spec::{parse_spec, CompiledRule, PageId, RuleExec, TargetExec};
 
     fn spec() -> CompiledSpec {
         CompiledSpec::compile(
@@ -465,5 +465,60 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(engine.memo_hits(), 0);
         assert_eq!(engine.memo_misses(), 0);
+    }
+
+    #[test]
+    fn target_conditions_memoize_their_truth_value() {
+        let s = spec();
+        let base = core_instance(&s, &vec![fact(&s, "item", &[1])]);
+        let engine = QueryEngine::build(&s, true);
+        let target = &s.page(PageId(0)).target_rules[0];
+        let TargetExec::Plan(q) = &target.exec else { panic!("target compiles to a plan") };
+        let holds = |cfg: &PseudoConfig| {
+            let inst = cfg.materialize(&s, &base);
+            let params = s.bind_params(&inst);
+            engine.run_bool(target.reads, q, cfg, || (&inst, &params)).unwrap()
+        };
+
+        let empty = PseudoConfig::initial(PageId(0));
+        assert!(!holds(&empty));
+        assert!(!holds(&empty));
+        assert_eq!((engine.memo_hits(), engine.memo_misses()), (1, 1));
+
+        // the target reads state: a new seen fact re-runs and flips it
+        let mut seen = PseudoConfig::initial(PageId(0));
+        seen.state = Arc::new(canonicalize(vec![fact(&s, "seen", &[1])]));
+        assert!(holds(&seen));
+        assert_eq!((engine.memo_hits(), engine.memo_misses()), (1, 2));
+        assert!(!holds(&empty), "the first answer is still cached");
+        assert_eq!(engine.memo_hits(), 2);
+    }
+
+    #[test]
+    fn profiled_engine_rolls_up_costs_per_query() {
+        let s = spec();
+        let core: Facts = vec![fact(&s, "item", &[1]), fact(&s, "item", &[2])];
+        let base = core_instance(&s, &core);
+        let cfg = PseudoConfig::initial(PageId(0));
+
+        let plain = QueryEngine::build(&s, true);
+        run(&plain, &s, &base, &cfg);
+        assert!(plain.query_costs().is_empty(), "costs are collected only when profiled");
+
+        let engine = QueryEngine::build_profiled(&s, true, true);
+        let rows = run(&engine, &s, &base, &cfg);
+        assert_eq!(run(&engine, &s, &base, &cfg), rows);
+        let costs = engine.query_costs();
+        assert_eq!(costs.len(), 1, "only the option rule was called: {costs:?}");
+        let c = &costs[0];
+        assert_eq!(c.qid, option_rule(&s).reads.qid);
+        assert_eq!((c.calls, c.memo_hits, c.memo_misses), (2, 1, 1));
+        assert_eq!(c.rows, rows.len() as u64, "a memo hit produces no rows");
+        assert_eq!(c.hit_rate(), Some(0.5));
+
+        let mut total = QueryCost::default();
+        total.add(c);
+        total.add(c);
+        assert_eq!((total.calls, total.rows), (4, 2 * rows.len() as u64));
     }
 }

@@ -318,4 +318,69 @@ mod tests {
         let out = execute(&plan, &inst, &Params::none()).unwrap();
         assert_eq!(out.len(), 1, "non-empty result encodes true");
     }
+
+    #[test]
+    fn joins_with_no_key_pairs_test_right_emptiness() {
+        let (s, mut inst) = setup();
+        let edge = s.lookup("edge").unwrap();
+        let mark = s.lookup("mark").unwrap();
+        let semi = Plan::SemiJoin {
+            left: Box::new(Plan::Scan(edge)),
+            right: Box::new(Plan::Scan(mark)),
+            on: vec![],
+        };
+        let anti = Plan::AntiJoin {
+            left: Box::new(Plan::Scan(edge)),
+            right: Box::new(Plan::Scan(mark)),
+            on: vec![],
+        };
+        // a non-empty right side matches every left row
+        assert_eq!(execute(&semi, &inst, &Params::none()).unwrap(), *inst.rel(edge));
+        assert!(execute(&anti, &inst, &Params::none()).unwrap().is_empty());
+        // an empty one matches none
+        inst.set_rel(mark, Relation::from_tuples(1, Vec::new()));
+        assert!(execute(&semi, &inst, &Params::none()).unwrap().is_empty());
+        assert_eq!(execute(&anti, &inst, &Params::none()).unwrap(), *inst.rel(edge));
+    }
+
+    #[test]
+    fn multi_column_join_keys_must_all_match() {
+        let (s, inst) = setup();
+        let edge = s.lookup("edge").unwrap();
+        // edges whose reverse is also an edge: none in the 3-cycle, but
+        // every edge matches itself
+        let reversed = Plan::SemiJoin {
+            left: Box::new(Plan::Scan(edge)),
+            right: Box::new(Plan::Scan(edge)),
+            on: vec![(0, 1), (1, 0)],
+        };
+        assert!(execute(&reversed, &inst, &Params::none()).unwrap().is_empty());
+        let itself = Plan::SemiJoin {
+            left: Box::new(Plan::Scan(edge)),
+            right: Box::new(Plan::Scan(edge)),
+            on: vec![(0, 0), (1, 1)],
+        };
+        assert_eq!(execute(&itself, &inst, &Params::none()).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn product_concatenates_rows_and_set_operations_canonicalize() {
+        let (s, inst) = setup();
+        let edge = s.lookup("edge").unwrap();
+        let mark = s.lookup("mark").unwrap();
+        let product = Plan::Product(Box::new(Plan::Scan(edge)), Box::new(Plan::Scan(mark)));
+        let out = execute(&product, &inst, &Params::none()).unwrap();
+        assert_eq!(out.arity(), 3);
+        assert_eq!(out.len(), 3);
+        assert!(out.contains(&Tuple::from([Value(3), Value(1), Value(2)])));
+
+        let sources =
+            Plan::Project { input: Box::new(Plan::Scan(edge)), cols: vec![Scalar::Col(0)] };
+        let union = Plan::Union(Box::new(sources.clone()), Box::new(Plan::Scan(mark)));
+        assert_eq!(execute(&union, &inst, &Params::none()).unwrap().len(), 3, "2 deduplicated");
+        let diff = Plan::Difference(Box::new(sources), Box::new(Plan::Scan(mark)));
+        let out = execute(&diff, &inst, &Params::none()).unwrap();
+        assert_eq!(out.len(), 2);
+        assert!(!out.contains(&Tuple::from([Value(2)])));
+    }
 }

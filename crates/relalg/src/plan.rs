@@ -374,6 +374,49 @@ mod tests {
         assert_eq!(reads.value_slots, vec![4], "deduplicated");
         assert_eq!(reads.empty_slots, vec![2]);
     }
+
+    #[test]
+    fn join_widths_follow_their_inputs() {
+        let s = schema();
+        let r = s.lookup("r").unwrap();
+        let st = s.lookup("s").unwrap();
+        let product = Plan::Product(Box::new(Plan::Scan(r)), Box::new(Plan::Scan(st)));
+        assert_eq!(product.validate(&s), Ok(3), "product widths add");
+        for on in [vec![], vec![(1, 0)]] {
+            let semi = Plan::SemiJoin {
+                left: Box::new(Plan::Scan(r)),
+                right: Box::new(Plan::Scan(st)),
+                on: on.clone(),
+            };
+            let anti = Plan::AntiJoin {
+                left: Box::new(Plan::Scan(st)),
+                right: Box::new(Plan::Scan(r)),
+                on: on.iter().map(|&(a, b)| (b, a)).collect(),
+            };
+            assert_eq!(semi.validate(&s), Ok(2), "semi-join keeps the left width");
+            assert_eq!(anti.validate(&s), Ok(1), "anti-join keeps the left width");
+        }
+    }
+
+    #[test]
+    fn join_keys_are_checked_against_each_side() {
+        let s = schema();
+        let r = s.lookup("r").unwrap();
+        let st = s.lookup("s").unwrap();
+        let join = |on| Plan::SemiJoin {
+            left: Box::new(Plan::Scan(r)),
+            right: Box::new(Plan::Scan(st)),
+            on,
+        };
+        assert_eq!(
+            join(vec![(2, 0)]).validate(&s),
+            Err(PlanError::ColumnOutOfRange { col: 2, width: 2 })
+        );
+        assert_eq!(
+            join(vec![(1, 1)]).validate(&s),
+            Err(PlanError::ColumnOutOfRange { col: 1, width: 1 })
+        );
+    }
 }
 
 impl Plan {

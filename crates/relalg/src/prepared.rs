@@ -127,4 +127,30 @@ mod tests {
         assert!(!q.run_bool(&inst, &p).unwrap());
         assert_eq!(q.executions(), 2);
     }
+
+    #[test]
+    fn clones_keep_the_count_and_reads_come_from_the_plan() {
+        let (s, inst) = setup();
+        let r = s.lookup("r").unwrap();
+        let plan = Plan::AntiJoin {
+            left: Box::new(Plan::Scan(r)),
+            right: Box::new(Plan::Values { width: 1, rows: vec![vec![Scalar::Param(2)]] }),
+            on: vec![(0, 0)],
+        };
+        let q = PreparedQuery::prepare(&s, plan.clone()).unwrap();
+        assert_eq!(q.plan(), &plan);
+        assert_eq!(q.reads(), plan.reads());
+        assert_eq!(q.reads().value_slots, vec![2]);
+        assert_eq!((q.width(), q.param_slots()), (1, 3));
+
+        let mut p = Params::with_slots(3);
+        p.bind(2, Value(1));
+        let out = q.run(&inst, &p).unwrap();
+        assert_eq!(out.len(), 1);
+        assert!(out.contains(&Tuple::from([Value(2)])));
+        let copy = q.clone();
+        assert_eq!(copy.executions(), 1, "a clone starts from the original's count");
+        copy.run(&inst, &p).unwrap();
+        assert_eq!((q.executions(), copy.executions()), (1, 2), "counts are not shared");
+    }
 }
